@@ -19,6 +19,11 @@ Three gates guard the kernel-level optimisations behind the serving path
   grow sublinearly in history length where full BPTT grows linearly, and a
   window that covers the whole history must reproduce the full-BPTT loss
   bitwise.
+* ``test_projection_cache_speedup`` — the steady-state serving forward,
+  where every window reuses ``q - 1`` cached projected rows and projects
+  only its newest row, must be ≥1.3x faster than ``predict_full`` on the
+  raw windows of the same batch (400/26 inputs), with bitwise-equal
+  outputs.
 
 Every experiment appends its numbers (per backend/precision throughput,
 allocation counters, timings) to ``benchmarks/results/BENCH_kernels.json``
@@ -36,7 +41,9 @@ import common
 from repro.core.clstm import CLSTM
 from repro.nn.backend import FLOAT32_ATOL, FLOAT32_RTOL, resolve_backend
 from repro.nn.fused import (
+    ProjectedWindows,
     coupled_pair_forward_fused,
+    project_rows,
     reset_workspace_stats,
     workspace_stats,
 )
@@ -56,6 +63,8 @@ TBPTT_WINDOW = 8
 TBPTT_HISTORIES = (16, 64)
 TBPTT_REQUIRED_SPEEDUP = 1.4
 TBPTT_SUBLINEARITY = 0.85  # windowed growth must be < 85% of the history growth
+SERVING_INTERACTION_DIM = 26  # the benchmark's (perfbench) interaction width
+PROJECTION_REQUIRED_SPEEDUP = 1.3
 
 JSON_NAME = "BENCH_kernels.json"
 
@@ -333,4 +342,84 @@ def test_tbptt_retrain_sublinear(benchmark):
         f"tbptt window={TBPTT_WINDOW} reached only {results['long_speedup']:.2f}x "
         f"over full BPTT at T={TBPTT_HISTORIES[-1]} "
         f"(required: {TBPTT_REQUIRED_SPEEDUP}x)"
+    )
+
+
+# --------------------------------------------------------------------- #
+# Projection cache: steady-state serving forward vs full predict_full
+# --------------------------------------------------------------------- #
+def _steady_state_windows(cell, raw):
+    """Windows whose first q-1 rows sit projected in per-stream rings."""
+    batch, steps = raw.shape[:2]
+    flat = raw.reshape(batch * steps, -1)
+    projected = project_rows(cell, flat).reshape(batch, steps, -1)
+    gathers = []
+    for position in range(batch):
+        # Ring slot (position + t) % q holds row t, as a stream's ring would.
+        slots = (np.arange(steps) + position) % steps
+        ring = np.empty_like(projected[position])
+        ring[slots] = projected[position]
+        gathers.append((position, ring, slots))
+    pending = np.arange(steps - 1, batch * steps, steps)
+    return ProjectedWindows(
+        np.empty_like(projected), gathers, pending, np.ascontiguousarray(flat[pending])
+    )
+
+
+def run_projection_experiment():
+    model = CLSTM(
+        action_dim=ACTION_DIM,
+        interaction_dim=SERVING_INTERACTION_DIM,
+        action_hidden=ACTION_HIDDEN,
+        interaction_hidden=INTERACTION_HIDDEN,
+        seed=0,
+    )
+    rng = np.random.default_rng(4)
+    actions = rng.random((SERVING_BATCH, TIME_STEPS, ACTION_DIM))
+    interactions = rng.random((SERVING_BATCH, TIME_STEPS, SERVING_INTERACTION_DIM))
+    action_windows = _steady_state_windows(model.lstm_influencer, actions)
+    interaction_windows = _steady_state_windows(model.lstm_audience, interactions)
+
+    def full():
+        return model.predict_full(actions, interactions)
+
+    def cached():
+        return model.predict_full(action_windows, interaction_windows, projected=True)
+
+    for ours, theirs in zip(cached(), full()):
+        np.testing.assert_array_equal(ours, theirs)
+    seconds_full = _median_seconds(full, repeats=50)
+    seconds_cached = _median_seconds(cached, repeats=50)
+    speedup = seconds_full / seconds_cached
+
+    common.table(
+        "kernel_projection_cache",
+        ["forward", "us/segment", "ms/batch"],
+        [
+            ["predict_full (raw windows)", f"{seconds_full / SERVING_BATCH * 1e6:.1f}", f"{seconds_full * 1e3:.3f}"],
+            ["projected (newest row only)", f"{seconds_cached / SERVING_BATCH * 1e6:.1f}", f"{seconds_cached * 1e3:.3f}"],
+            ["speed-up", f"{speedup:.2f}x", ""],
+        ],
+        title=(
+            f"projection cache — batch {SERVING_BATCH}, {TIME_STEPS} steps, "
+            f"{ACTION_DIM}/{SERVING_INTERACTION_DIM} -> {ACTION_HIDDEN}/{INTERACTION_HIDDEN}"
+        ),
+    )
+    _merge_json(
+        "projection_cache",
+        {
+            "batch": SERVING_BATCH,
+            "time_steps": TIME_STEPS,
+            "seconds_per_batch": {"full": seconds_full, "projected": seconds_cached},
+            "speedup": speedup,
+        },
+    )
+    return {"speedup": speedup}
+
+
+def test_projection_cache_speedup(benchmark):
+    results = benchmark.pedantic(run_projection_experiment, rounds=1, iterations=1)
+    assert results["speedup"] >= PROJECTION_REQUIRED_SPEEDUP, (
+        f"the cached-projection forward reached only {results['speedup']:.2f}x over "
+        f"predict_full on raw windows (required: {PROJECTION_REQUIRED_SPEEDUP}x)"
     )

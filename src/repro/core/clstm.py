@@ -51,6 +51,7 @@ from ..nn.backprop import (
 )
 from ..nn.fused import (
     coupled_pair_forward_fused,
+    coupled_pair_sweep_fused,
     fused_cache_fresh,
     prewarm_cell,
     transplant_fused_cache,
@@ -251,6 +252,7 @@ class CLSTM(nn.Module):
         action_sequences: np.ndarray,
         interaction_sequences: np.ndarray,
         precision: Optional[str] = None,
+        projected: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Final ``(h, g)`` hidden states via the fused batched forward.
 
@@ -258,6 +260,12 @@ class CLSTM(nn.Module):
         host↔device boundary (``to_host`` is a no-copy pass-through on the
         NumPy backend).
         """
+        if projected:
+            if not self.serves_projected or self._effective_precision(precision) != "float64":
+                raise ValueError("projected inputs need the host float64 kernels")
+            return coupled_pair_sweep_fused(
+                self.lstm_influencer, self.lstm_audience, action_sequences, interaction_sequences
+            )
         actions = np.asarray(
             action_sequences.data if isinstance(action_sequences, Tensor) else action_sequences,
             dtype=np.float64,
@@ -278,11 +286,26 @@ class CLSTM(nn.Module):
         )
         return to_host(final_h), to_host(final_g)
 
+    @property
+    def serves_projected(self) -> bool:
+        """Whether :meth:`predict_full` accepts ``projected=True`` inputs.
+
+        Pre-projected windows are host float64 arrays, so only a model whose
+        fused kernels run on NumPy at float64 can consume them.
+        """
+        return self.backend == "numpy" and self.precision == "float64"
+
+    def projection_widths(self) -> Tuple[int, int]:
+        """Widths of the two cells' input projections ``x · W_in + b`` (4 gates each)."""
+        return 4 * self.action_hidden, 4 * self.interaction_hidden
+
     def predict_full(
         self,
         action_sequences: np.ndarray,
         interaction_sequences: np.ndarray,
         precision: Optional[str] = None,
+        *,
+        projected: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One fused inference pass returning everything the online path needs.
 
@@ -290,6 +313,12 @@ class CLSTM(nn.Module):
         plus both final hidden states, so callers that need reconstructions
         *and* drift-detection hidden states (the serving scheduler, the
         incremental updater) pay for a single forward.
+
+        The pass is "project, then sweep".  With ``projected=True`` the two
+        inputs are :class:`~repro.nn.fused.ProjectedWindows` whose rows were
+        mostly projected by earlier passes (the serving projection cache);
+        only their pending raw rows are projected here, and everything after
+        the projection is the same.  That form needs :attr:`serves_projected`.
 
         At ``float64`` (the default) only the recurrent sweep needs the fused
         kernels; the decoder heads are a single layer each, so they run
@@ -301,7 +330,7 @@ class CLSTM(nn.Module):
         """
         effective = self._effective_precision(precision)
         final_h, final_g = self._fused_hidden(
-            action_sequences, interaction_sequences, precision=effective
+            action_sequences, interaction_sequences, precision=effective, projected=projected
         )
         if effective != "float64" and self.supports_fused_training:
             action_linear = list(self.decoder_action)[0]

@@ -23,6 +23,20 @@ module provides the inference fast path: array-namespace forwards that
   kernels run on NumPy (default) or CuPy unchanged, at ``float64`` (default)
   or opt-in ``float32`` compute precision.
 
+The coupled forward is two steps that every caller shares: the input
+projection and the recurrent sweep.  :func:`coupled_pair_forward_fused`
+projects whole raw windows and sweeps.  :func:`coupled_pair_sweep_fused`
+sweeps windows that are already projected, which is how serving projects
+each segment once.  A stream's window slides by one segment per request,
+so ``q - 1`` of its projected rows were computed for the previous request.
+Serving keeps them per stream as derived state, tagged with the model
+version that produced them, and hands the sweep a :class:`ProjectedWindows`
+holding those rows plus the few raw rows still to project (normally the
+newest one).  Rows of another version, of a cold stream or of a restored
+service are simply projected again from the raw window.  The rule is
+bitwise safe because :func:`project_rows` returns exactly the rows the
+full-window GEMM would (see :data:`MIN_PROJECTION_ROWS`).
+
 Numerical contract: on the default backend (NumPy, ``float64``) the kernels
 are **bitwise identical** to the pre-seam implementations preserved in
 :mod:`repro.nn._reference` — the ``out=`` rewrite only reorders commutative
@@ -54,7 +68,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +88,10 @@ __all__ = [
     "transplant_fused_cache",
     "lstm_forward_fused",
     "coupled_pair_forward_fused",
+    "coupled_pair_sweep_fused",
+    "MIN_PROJECTION_ROWS",
+    "ProjectedWindows",
+    "project_rows",
     "workspace_stats",
     "reset_workspace_stats",
     "sigmoid",
@@ -89,6 +107,16 @@ _PRIMARY_KEY = ("numpy", "float64")
 
 MAX_WORKSPACES_PER_CELL = 8
 """LRU capacity of each cell's workspace pool (shapes × threads)."""
+
+MIN_PROJECTION_ROWS = 8
+"""Fewest rows :func:`project_rows` hands to one GEMM.
+
+OpenBLAS's small-``M`` dgemm paths sum in another order than the kernel
+every larger GEMM uses: with Haswell kernels, rows of ``X[:M] @ W`` differ
+from the same rows of a full-window GEMM by ~1e-15 for ``M <= 4`` (400-wide
+inputs) or ``M == 1`` (26-wide inputs), and are bitwise equal from ``M = 5``
+on.  Zero-padding to this many rows keeps every projected row bitwise equal
+to its full-window twin; ``tests/test_fused_inference.py`` pins it."""
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -320,7 +348,9 @@ class Workspace:
     steady-state batch touches them without a single large allocation.
     ``cast_a``/``cast_b`` exist only for the reduced-precision host path,
     where the float64 inputs must be converted once per batch (into a
-    reused buffer, not a fresh array).
+    reused buffer, not a fresh array).  ``x_proj_i``/``x_proj_a`` exist only
+    when the forward projects its own inputs (``project=True``); a sweep
+    over pre-projected windows reads the caller's arrays instead.
     """
 
     __slots__ = (
@@ -357,6 +387,7 @@ class Workspace:
         partner_i: bool,
         partner_a: bool,
         cast_inputs: bool,
+        project: bool = True,
     ) -> None:
         self.h = xp.empty((batch, hidden_i), dtype=dtype)
         self.c_i = xp.empty((batch, hidden_i), dtype=dtype)
@@ -367,7 +398,9 @@ class Workspace:
         # rows before the activation passes run on it.
         self.gates_i = xp.empty((4, batch, hidden_i), dtype=dtype)
         self.pre_i = xp.empty((batch, 4 * hidden_i), dtype=dtype)
-        self.x_proj_i = xp.empty((batch, time_steps, 4 * hidden_i), dtype=dtype)
+        self.x_proj_i = (
+            xp.empty((batch, time_steps, 4 * hidden_i), dtype=dtype) if project else None
+        )
         self.partner_i = xp.empty((batch, 4 * hidden_i), dtype=dtype) if partner_i else None
         self.cast_a = (
             xp.empty((batch, time_steps, features_i), dtype=dtype) if cast_inputs else None
@@ -378,7 +411,9 @@ class Workspace:
             self.scratch_a = xp.empty((batch, hidden_a), dtype=dtype)
             self.gates_a = xp.empty((4, batch, hidden_a), dtype=dtype)
             self.pre_a = xp.empty((batch, 4 * hidden_a), dtype=dtype)
-            self.x_proj_a = xp.empty((batch, time_steps, 4 * hidden_a), dtype=dtype)
+            self.x_proj_a = (
+                xp.empty((batch, time_steps, 4 * hidden_a), dtype=dtype) if project else None
+            )
             self.partner_a = xp.empty((batch, 4 * hidden_a), dtype=dtype) if partner_a else None
             self.cast_b = (
                 xp.empty((batch, time_steps, features_a), dtype=dtype) if cast_inputs else None
@@ -575,6 +610,63 @@ def lstm_forward_fused(
     return hiddens, (h.copy(), c.copy())
 
 
+def project_rows(cell, rows: np.ndarray) -> np.ndarray:
+    """``rows · W_in + b`` of ``cell`` for ``(M, D)`` raw input rows, host float64.
+
+    Each returned row is bitwise equal to the same input row's projection
+    inside any full-window forward of at least :data:`MIN_PROJECTION_ROWS`
+    rows: fewer rows are zero-padded up to that count before the one GEMM,
+    and the bias is added after it, exactly as :func:`_project_into` does.
+    """
+    fused = prewarm_cell(cell)
+    rows = np.asarray(rows, dtype=np.float64)
+    count = rows.shape[0]
+    if count < MIN_PROJECTION_ROWS:
+        padded = np.zeros((MIN_PROJECTION_ROWS, rows.shape[1]))
+        padded[:count] = rows
+        rows = padded
+    projected = rows @ fused.w_input
+    projected += fused.bias
+    return projected[:count]
+
+
+@dataclass(frozen=True)
+class ProjectedWindows:
+    """One cell's ``(B, q)`` input windows: cached projected rows plus raw rows.
+
+    The projection step of :func:`coupled_pair_sweep_fused` (:meth:`complete`)
+    fills ``buffer`` ``(B, q, 4H)`` with ``x_t · W_in + b`` for every row:
+
+    * each ``(position, source, slots)`` of ``gathers`` copies the rows
+      ``source[slots]`` of a ``(q, 4H)`` cache of already-projected rows into
+      window ``position``;
+    * then the raw input ``rows`` are projected in one GEMM
+      (:func:`project_rows`) into the flattened positions ``pending``
+      (``b * q + t``), overwriting whatever the gather put there.
+
+    Serving allocates ``buffer`` and reads the completed rows back from it
+    after the forward, to refill its caches.
+    """
+
+    buffer: np.ndarray
+    gathers: Sequence[Tuple[int, np.ndarray, np.ndarray]]
+    pending: np.ndarray
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.buffer)
+
+    def complete(self, cell) -> np.ndarray:
+        """Fill ``buffer`` with ``cell``'s projected windows and return it."""
+        buffer = self.buffer
+        for position, source, slots in self.gathers:
+            np.take(source, slots, axis=0, out=buffer[position], mode="clip")
+        if len(self.pending):
+            batch, steps, width = buffer.shape
+            buffer.reshape(batch * steps, width)[self.pending] = project_rows(cell, self.rows)
+        return buffer
+
+
 def coupled_pair_forward_fused(
     influencer: "CoupledLSTMCell",
     audience: "CoupledLSTMCell",
@@ -591,7 +683,8 @@ def coupled_pair_forward_fused(
     step ``t`` the influencer cell reads the audience hidden state from step
     ``t-1`` and vice versa.  Each cell's partner block is honoured (or
     dropped) according to its ``use_partner`` flag, which covers all three
-    coupling modes of the paper.
+    coupling modes of the paper.  It projects the raw windows in one GEMM
+    per cell, then runs the sweep :func:`coupled_pair_sweep_fused` shares.
 
     Parameters
     ----------
@@ -616,14 +709,58 @@ def coupled_pair_forward_fused(
     dtype = _resolve_kernel_dtype(dtype)
     actions_raw = np.asarray(action_sequences)
     interactions_raw = np.asarray(interaction_sequences)
-    if actions_raw.ndim != 3 or interactions_raw.ndim != 3:
-        raise ValueError("coupled forward expects (batch, time, features) arrays")
-    if actions_raw.shape[0] != interactions_raw.shape[0]:
-        raise ValueError("action and interaction batches must have the same size")
-    if actions_raw.shape[1] != interactions_raw.shape[1]:
-        raise ValueError("action and interaction sequences must have the same length")
-    batch, time_steps, _ = actions_raw.shape
+    _check_aligned(actions_raw, interactions_raw)
+    fused_i, fused_a, xp, workspace = _coupled_workspace(
+        influencer, audience, actions_raw.shape, interactions_raw.shape[2], backend, dtype, True
+    )
+    actions = _prepare_input(actions_raw, workspace.cast_a, backend, dtype, xp)
+    interactions = _prepare_input(interactions_raw, workspace.cast_b, backend, dtype, xp)
+    _project_into(actions, fused_i, workspace.x_proj_i, xp)
+    _project_into(interactions, fused_a, workspace.x_proj_a, xp)
+    return _sweep(
+        fused_i, fused_a, workspace, workspace.x_proj_i, workspace.x_proj_a, return_all_hidden, xp, dtype
+    )
 
+
+def coupled_pair_sweep_fused(
+    influencer: "CoupledLSTMCell",
+    audience: "CoupledLSTMCell",
+    action_windows: ProjectedWindows,
+    interaction_windows: ProjectedWindows,
+    return_all_hidden: bool = False,
+):
+    """:func:`coupled_pair_forward_fused` over already-projected windows.
+
+    The projection step completes each :class:`ProjectedWindows` first
+    (cached rows copied, pending raw rows projected in one GEMM per cell,
+    all into its buffer), then the same recurrent sweep runs.  Host NumPy ``float64`` only: that is the
+    precision the serving projection cache stores.  Results are bitwise
+    equal to :func:`coupled_pair_forward_fused` on the raw windows whenever
+    the batch spans at least :data:`MIN_PROJECTION_ROWS` rows.
+    """
+    projected_i = action_windows.complete(influencer)
+    projected_a = interaction_windows.complete(audience)
+    _check_aligned(projected_i, projected_a)
+    fused_i, fused_a, xp, workspace = _coupled_workspace(
+        influencer, audience, projected_i.shape, projected_a.shape[2], "numpy", _FLOAT64, False
+    )
+    return _sweep(
+        fused_i, fused_a, workspace, projected_i, projected_a, return_all_hidden, xp, _FLOAT64
+    )
+
+
+def _check_aligned(actions, interactions) -> None:
+    if actions.ndim != 3 or interactions.ndim != 3:
+        raise ValueError("coupled forward expects (batch, time, features) arrays")
+    if actions.shape[0] != interactions.shape[0]:
+        raise ValueError("action and interaction batches must have the same size")
+    if actions.shape[1] != interactions.shape[1]:
+        raise ValueError("action and interaction sequences must have the same length")
+
+
+def _coupled_workspace(influencer, audience, action_shape, interaction_width, backend, dtype, project):
+    """Fused weights, namespace and the pooled workspace of one coupled call."""
+    batch, time_steps, action_width = action_shape
     primary_i = fuse_coupled_cell(influencer)
     primary_a = fuse_coupled_cell(audience)
     fused_i = _fused_variant(influencer, primary_i, backend, dtype)
@@ -631,13 +768,13 @@ def coupled_pair_forward_fused(
     xp = get_namespace(backend)
     hidden_i, hidden_a = influencer.hidden_size, audience.hidden_size
     key = (
-        "coupled",
+        "coupled" if project else "coupled-sweep",
         batch,
         time_steps,
         hidden_i,
         hidden_a,
-        actions_raw.shape[2],
-        interactions_raw.shape[2],
+        action_width,
+        interaction_width,
         backend,
         dtype.name,
         threading.get_ident(),
@@ -652,26 +789,28 @@ def coupled_pair_forward_fused(
             time_steps,
             hidden_i,
             hidden_a,
-            actions_raw.shape[2],
-            interactions_raw.shape[2],
+            action_width,
+            interaction_width,
             coupled=True,
             partner_i=fused_i.w_partner is not None,
             partner_a=fused_a.w_partner is not None,
-            cast_inputs=(backend == "numpy" and dtype != _FLOAT64),
+            cast_inputs=(project and backend == "numpy" and dtype != _FLOAT64),
+            project=project,
         ),
     )
-    actions = _prepare_input(actions_raw, workspace.cast_a, backend, dtype, xp)
-    interactions = _prepare_input(interactions_raw, workspace.cast_b, backend, dtype, xp)
+    return fused_i, fused_a, xp, workspace
 
+
+def _sweep(fused_i, fused_a, workspace, x_proj_i, x_proj_a, return_all_hidden, xp, dtype):
+    """The recurrent half of the coupled forward over projected inputs."""
+    batch, time_steps = x_proj_i.shape[:2]
+    hidden_i, hidden_a = fused_i.hidden_size, fused_a.hidden_size
     h, c_i = workspace.h, workspace.c_i
     g, c_a = workspace.g, workspace.c_a
     h.fill(0.0)
     c_i.fill(0.0)
     g.fill(0.0)
     c_a.fill(0.0)
-
-    _project_into(actions, fused_i, workspace.x_proj_i, xp)
-    _project_into(interactions, fused_a, workspace.x_proj_a, xp)
 
     # Per-step hidden states escape to the caller (training-cache consumers,
     # drift analytics), so they are fresh arrays, never workspace views.
@@ -682,12 +821,12 @@ def coupled_pair_forward_fused(
     for t in range(time_steps):
         # Both pre-activations read the step t-1 states; only then update.
         xp.matmul(h, fused_i.w_hidden, out=pre_i)
-        pre_i += workspace.x_proj_i[:, t]
+        pre_i += x_proj_i[:, t]
         if fused_i.w_partner is not None:
             xp.matmul(g, fused_i.w_partner, out=workspace.partner_i)
             pre_i += workspace.partner_i
         xp.matmul(g, fused_a.w_hidden, out=pre_a)
-        pre_a += workspace.x_proj_a[:, t]
+        pre_a += x_proj_a[:, t]
         if fused_a.w_partner is not None:
             xp.matmul(h, fused_a.w_partner, out=workspace.partner_a)
             pre_a += workspace.partner_a

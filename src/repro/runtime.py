@@ -357,19 +357,20 @@ class Runtime:
         completed (usually for *earlier* segments — the latency/throughput
         trade of micro-batching; :meth:`drain` flushes the rest).
 
-        With durability attached the submission is validated and appended to
-        the write-ahead log *before* it is scored (write-ahead ordering:
-        anything that changed the runtime's state is on disk), and durable
-        ingest is serialised — the log is the ingest order.
+        The submission is validated (:meth:`_validate_submissions`) before it
+        joins its stream's window, so a malformed segment is rejected here
+        instead of failing the micro-batch it would have joined.  With
+        durability attached it is then appended to the write-ahead log
+        *before* it is scored (write-ahead ordering: anything that changed
+        the runtime's state is on disk), and durable ingest is serialised —
+        the log is the ingest order.
         """
         self._require_serving()
-        if self._store is None:
-            return self.service.submit(
-                stream_id, action_feature, interaction_feature, interaction_level
-            )
         (cleaned,) = self._validate_submissions(
             [(stream_id, action_feature, interaction_feature, interaction_level)]
         )
+        if self._store is None:
+            return self.service.submit(*cleaned)
         with self._durability_lock:
             if self._wal is not None:
                 self._wal.append([cleaned], batch=False)
@@ -390,14 +391,16 @@ class Runtime:
         ``submissions`` is an iterable of ``(stream_id, action_feature,
         interaction_feature[, interaction_level])`` tuples.  Under a parallel
         executor this is the high-throughput ingest path: batches that fill
-        on different shards in the same tick are scored concurrently.  With
-        durability attached the whole tick is one WAL record (replay must
-        re-drive the micro-batcher with the same call shape).
+        on different shards in the same tick are scored concurrently.  The
+        whole tick is validated before any of it is enqueued, so one bad
+        segment rejects the call and poisons no window.  With durability
+        attached the whole tick is one WAL record (replay must re-drive the
+        micro-batcher with the same call shape).
         """
         self._require_serving()
-        if self._store is None:
-            return self.service.submit_many(submissions)
         cleaned = self._validate_submissions(submissions)
+        if self._store is None:
+            return self.service.submit_many(cleaned)
         with self._durability_lock:
             if self._wal is not None and cleaned:
                 self._wal.append(cleaned, batch=True)
@@ -1047,11 +1050,13 @@ class Runtime:
     def _validate_submissions(
         self, submissions: Iterable[Sequence]
     ) -> List[Tuple[str, np.ndarray, np.ndarray, Optional[float]]]:
-        """Normalise and fully validate submissions *before* the WAL append.
+        """Normalise and fully validate submissions before they join a window.
 
-        Anything that would make the scoring service raise must be rejected
-        here: a submission that reached the log but not the service would
-        replay into state the original run never had.  The arrays are
+        Both ingest paths call this first.  Anything that would make the
+        scoring service raise must be rejected here: without durability a
+        malformed row in a stream window would fail every batch it joins,
+        and with it a submission that reached the log but not the service
+        would replay into state the original run never had.  The arrays are
         coerced exactly as the scoring session coerces them (flat float64),
         so the bytes logged are the bytes scored.
         """

@@ -29,6 +29,15 @@ threshold decision) against exactly one immutable model version even if a
 swap lands mid-batch.  A wall-clock flush deadline (``max_batch_delay_ms``)
 bounds how long a queued segment can wait for its batch to fill.
 
+Each segment is input-projected once.  A stream's window slides by one
+segment per request, so its session keeps the projected rows
+``x_t · W_in + b`` of its last ``q`` segments in a
+:class:`~repro.serving.microbatch.ProjectionRing`, tagged with the model
+version that produced them.  A batch gathers those rows and projects only
+what its pinned version lacks, normally each window's newest row, in one
+GEMM.  The rows are derived state: a publish, a cold stream or a restored
+service simply projects the full raw window again, bitwise identically.
+
 Thread-safety contract: the service is safe to drive from several threads
 at once.  Two locks split the hot path so ingest never waits behind a GEMM:
 a short *ingest lock* guards the session table and the micro-batch queue
@@ -43,10 +52,11 @@ non-blocking entry the thread-parallel executor dispatches, and
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Mapping, Optional
 
 import numpy as np
@@ -54,9 +64,10 @@ import numpy as np
 from ..core.detector import AnomalyDetector
 from ..core.update import hidden_set_similarity
 from ..features.pipeline import StreamFeatures
+from ..nn.fused import MIN_PROJECTION_ROWS
 from ..utils.config import UpdateConfig
 from ..utils.timer import TimingAccumulator
-from .microbatch import MicroBatcher, ScoreRequest
+from .microbatch import MicroBatcher, ProjectionRing, ScoreRequest
 from .registry import ModelRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -91,7 +102,7 @@ def validate_interaction_level(level: Optional[float]) -> float:
     if level is None:
         return float("nan")
     level = float(level)
-    if not np.isfinite(level):
+    if not math.isfinite(level):
         raise ValueError(
             f"interaction_level must be finite, got {level!r} "
             "(pass None to mark the level unknown)"
@@ -324,7 +335,13 @@ class BatchScores:
 
 
 class StreamSession:
-    """Rolling per-stream state: the last ``q`` feature vectors and results."""
+    """Rolling per-stream state: the last ``q`` feature vectors and results.
+
+    The window holds the raw feature rows themselves; a request references
+    them rather than stacking a copy.  ``projection`` is the stream's
+    projection cache (derived state, see :class:`ProjectionRing`): it is
+    never exported, and a restored or re-homed session starts it empty.
+    """
 
     def __init__(self, stream_id: str, sequence_length: int) -> None:
         self.stream_id = stream_id
@@ -333,6 +350,7 @@ class StreamSession:
         self.interaction_history: Deque[np.ndarray] = deque(maxlen=sequence_length)
         self.segments_seen = 0
         self.detections: List[StreamDetection] = []
+        self.projection = ProjectionRing()
 
     @property
     def warmed_up(self) -> bool:
@@ -350,25 +368,36 @@ class StreamSession:
         The current history window predicts the incoming segment (it is the
         reconstruction target); afterwards the segment joins the window.
         """
+        action = np.asarray(action_feature, dtype=np.float64)
+        interaction = np.asarray(interaction_feature, dtype=np.float64)
         request: Optional[ScoreRequest] = None
         if self.warmed_up:
             request = ScoreRequest(
                 stream_id=self.stream_id,
                 segment_index=self.segments_seen,
-                action_history=np.stack(self.action_history, axis=0),
-                interaction_history=np.stack(self.interaction_history, axis=0),
-                action_target=np.asarray(action_feature, dtype=np.float64),
-                interaction_target=np.asarray(interaction_feature, dtype=np.float64),
+                action_history=tuple(self.action_history),
+                interaction_history=tuple(self.interaction_history),
+                action_target=action,
+                interaction_target=interaction,
                 interaction_level=interaction_level,
+                projection=self.projection,
             )
-        self.action_history.append(np.asarray(action_feature, dtype=np.float64))
-        self.interaction_history.append(np.asarray(interaction_feature, dtype=np.float64))
+        self.action_history.append(action)
+        self.interaction_history.append(interaction)
         self.segments_seen += 1
         return request
 
 
 class ScoringService:
     """Micro-batching scoring front-end for many concurrent streams.
+
+    Every segment is input-projected once per model version: batches gather
+    the projected rows each session's ring holds and project only the rest
+    (see the module docstring).  The fallback is the full raw window, used
+    for cold or restored streams, after a publish, for the process executor,
+    for reduced-precision models and for batches of fewer than
+    :data:`~repro.nn.fused.MIN_PROJECTION_ROWS` rows; it gives bitwise the
+    same scores.
 
     Parameters
     ----------
@@ -770,13 +799,24 @@ class ScoringService:
         # A publish landing while this batch runs (the update plane executes
         # inside the drift-trigger path below) is only seen by the next pin.
         snapshot = self._handle.pin()
+        model = snapshot.model
+        # The process executor ships raw windows to its workers, and a batch
+        # of fewer rows than one padded projection GEMM is projected whole,
+        # which keeps it bitwise equal to predict_full on the raw windows.
+        projection = None
+        if (
+            self.remote_compute is None
+            and getattr(model, "serves_projected", False)
+            and len(requests) * self.sequence_length >= MIN_PROJECTION_ROWS
+        ):
+            projection = (snapshot.version, model.projection_widths())
         (
             action_sequences,
             interaction_sequences,
             action_targets,
             interaction_targets,
             segment_indices,
-        ) = MicroBatcher.assemble(requests)
+        ) = MicroBatcher.assemble(requests, projection)
         timings = self._kernel_timings
         if self.remote_compute is not None:
             # The forward/score split happens inside the worker interpreter;
@@ -793,9 +833,20 @@ class ScoringService:
                 )
         else:
             with timings.measure("forward"):
-                predicted_action, predicted_interaction, hidden, _ = snapshot.model.predict_full(
-                    action_sequences, interaction_sequences
+                predicted_action, predicted_interaction, hidden, _ = model.predict_full(
+                    action_sequences, interaction_sequences, projected=projection is not None
                 )
+            if projection is not None:
+                # The forward completed every projected row in the buffers;
+                # keep them for each stream's next request.
+                for position, request in enumerate(requests):
+                    if request.projection is not None:
+                        request.projection.store(
+                            snapshot.version,
+                            request.segment_index,
+                            action_sequences.buffer[position],
+                            interaction_sequences.buffer[position],
+                        )
             with timings.measure("score"):
                 result = snapshot.detector.score_predictions(
                     segment_indices,
@@ -824,7 +875,7 @@ class ScoringService:
             self._latencies.append(max(0.0, (self._clock() - batch_arrival) * 1000.0))
 
         detections: List[StreamDetection] = []
-        precision = getattr(snapshot.model, "precision", "float64")
+        precision = getattr(model, "precision", "float64")
         for position, request in enumerate(requests):
             detection = StreamDetection(
                 stream_id=request.stream_id,
@@ -862,7 +913,7 @@ class ScoringService:
                 self._buffer_hidden.append(hidden[position])
                 self._buffer_stream_ids.append(request.stream_id)
                 if self._buffer_requests is not None:
-                    self._buffer_requests.append(request)
+                    self._buffer_requests.append(request.materialized())
             if len(self._buffer_hidden) >= self.update_config.buffer_size:
                 reaction = self._drift_check(request.segment_index, model_version)
                 if reaction is not None:
@@ -965,13 +1016,19 @@ class ScoringService:
             return sessions
 
     def adopt_sessions(self, sessions: Mapping[str, StreamSession]) -> None:
-        """Adopt sessions evicted from another shard (merge handoff)."""
+        """Adopt sessions evicted from another shard (merge handoff).
+
+        Their projection caches restart empty: the donor's rows are tagged
+        with the donor registry's version numbers, which mean nothing here.
+        """
         with self._ingest_lock:
             duplicates = set(sessions) & set(self.sessions)
             if duplicates:
                 raise ValueError(
                     f"streams already have sessions here: {sorted(duplicates)[:5]}"
                 )
+            for session in sessions.values():
+                session.projection = ProjectionRing()
             self.sessions.update(sessions)
 
     # ------------------------------------------------------------------ #
@@ -1044,7 +1101,11 @@ class ScoringService:
         self._level_count = int(state["level_count"])
         now = self._clock()
         for payload in state["pending"]:
-            self.batcher.submit(_request_from_state(payload), now=now)
+            request = _request_from_state(payload)
+            # Link the stream's (empty) ring, so scoring the restored request
+            # refills it for the stream's next one.
+            projection = self.session(request.stream_id).projection
+            self.batcher.submit(replace(request, projection=projection), now=now)
 
 
 def _request_state(request: ScoreRequest) -> Dict[str, object]:
@@ -1052,8 +1113,8 @@ def _request_state(request: ScoreRequest) -> Dict[str, object]:
     return {
         "stream_id": request.stream_id,
         "segment_index": request.segment_index,
-        "action_history": request.action_history,
-        "interaction_history": request.interaction_history,
+        "action_history": np.stack(request.action_history),
+        "interaction_history": np.stack(request.interaction_history),
         "action_target": request.action_target,
         "interaction_target": request.interaction_target,
         "interaction_level": request.interaction_level,

@@ -17,11 +17,15 @@ from repro.core.clstm import CLSTM
 from repro.core.detector import AnomalyDetector
 from repro.core.scoring import reia_score
 from repro.features.sequences import build_sequences
+from repro.nn import fused as fused_module
 from repro.nn.fused import (
+    ProjectedWindows,
     coupled_pair_forward_fused,
+    coupled_pair_sweep_fused,
     fuse_coupled_cell,
     fuse_lstm_cell,
     lstm_forward_fused,
+    project_rows,
 )
 from repro.nn.recurrent import CoupledLSTMCell, LSTMCell, run_lstm
 from repro.nn.tensor import Tensor
@@ -203,3 +207,56 @@ class TestFusedCLSTM:
         assert fused.w_input.shape == (7, 20)
         assert fused.bias.shape == (20,)
         assert fused.w_partner is None
+
+
+class TestProjectionOnce:
+    """The projection step serving splits off: rows projected in any number
+    must equal their rows of the full-window GEMM, bitwise."""
+
+    # The benchmark's serving shape: 400/26 inputs -> 128/32 hidden, q = 9,
+    # micro-batches of up to 64.
+    MAX_BATCH, STEPS = 64, 9
+
+    def test_rows_match_the_full_window_gemm(self, rng):
+        model = CLSTM(action_dim=400, interaction_dim=26, action_hidden=128, interaction_hidden=32)
+        batch = 2 * self.MAX_BATCH
+        for cell, width in ((model.lstm_influencer, 400), (model.lstm_audience, 26)):
+            fused = fuse_coupled_cell(cell)
+            windows = rng.random((batch, self.STEPS, width))
+            full = np.empty((batch, self.STEPS, 4 * cell.hidden_size))
+            fused_module._project_into(windows, fused, full, np)
+            rows = windows.reshape(batch * self.STEPS, width)
+            full = full.reshape(batch * self.STEPS, -1)
+            for count in range(1, batch + 1):
+                np.testing.assert_array_equal(
+                    project_rows(cell, rows[:count]), full[:count], err_msg=f"{count} rows"
+                )
+
+    def test_sweep_over_projected_windows_matches_the_forward(self, rng):
+        model = CLSTM(action_dim=12, interaction_dim=5, action_hidden=6, interaction_hidden=3)
+        batch = _random_sequences(rng, count=6)
+        actions, interactions = batch.action_sequences, batch.interaction_sequences
+        count, steps = actions.shape[:2]
+        expected = coupled_pair_forward_fused(
+            model.lstm_influencer, model.lstm_audience, actions, interactions, True
+        )
+        # Half the rows come from an earlier projection, half are still raw.
+        pending = np.arange(count * steps)[1::2]
+
+        def windows(cell, raw):
+            flat = raw.reshape(count * steps, -1)
+            buffer = project_rows(cell, flat).reshape(count, steps, -1)
+            cached = buffer.copy()
+            buffer[:] = np.nan
+            gathers = [(b, cached[b], np.arange(steps)) for b in range(count)]
+            return ProjectedWindows(buffer, gathers, pending, flat[pending])
+
+        got = coupled_pair_sweep_fused(
+            model.lstm_influencer,
+            model.lstm_audience,
+            windows(model.lstm_influencer, actions),
+            windows(model.lstm_audience, interactions),
+            True,
+        )
+        for ours, theirs in zip(got, expected):
+            np.testing.assert_array_equal(ours, theirs)
